@@ -1,6 +1,6 @@
 """HTTP load generation over keep-alive connections.
 
-Two drivers, both writing one :class:`Sample` per request:
+Two load loops, both writing one :class:`Sample` per request:
 
 * :func:`closed_loop` -- each connection sends its next body as soon as
   the previous answer arrived (callers that wait for replies);
