@@ -14,8 +14,10 @@ JSON line::
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 With ``--trace 0`` the metrics are the end-to-end ones; with ``--trace 1``
-the run measures a second, traced window on a fresh server and reports the
-per-layer ledger (:mod:`servebench.ledger`) instead.  The line before it
+the ``--seconds`` are split between an untraced window and a second,
+traced window on a fresh server (so a traced run takes about as long as
+an untraced one), and the run reports the per-layer ledger
+(:mod:`servebench.ledger`) instead.  The line before it
 is a JSON report with the environment, the input statistics and the
 context of every metric.  A wrong label or a failed request makes
 ``correct`` false and the exit status 1.
@@ -28,6 +30,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -107,9 +110,21 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run the benchmark; on every way out, stop each process it started."""
     args = parse_args(argv)
     _import_repro(CHECKOUT)
     sys.path.insert(0, CHECKOUT)
+    from servebench import reaper
+
+    reaper.adopt_orphans()
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        return _run(args)
+    finally:
+        reaper.reap_all()
+
+
+def _run(args: argparse.Namespace) -> int:
     from servebench import artifacts, ledger, workloads
     from servebench.reference import Reference
 
@@ -123,15 +138,16 @@ def main(argv=None) -> int:
     workdir = os.path.join(CHECKOUT, ".servebench", f"run-{os.getpid()}")
     shutil.rmtree(workdir, ignore_errors=True)
     os.makedirs(workdir)
+    window_s = args.seconds / 2 if args.trace else args.seconds
     try:
         prepare_started = time.perf_counter()
         reference = Reference(registry_root, artifacts.ENSEMBLE)
         prepared = workloads.prepare(
-            workload, args.seed, args.seconds, reference, scale=0.1 if small else 1.0
+            workload, args.seed, window_s, reference, scale=0.1 if small else 1.0
         )
         prepare_s = time.perf_counter() - prepare_started
         result = workloads.run(
-            prepared, args.seconds, CHECKOUT, registry_root, artifacts.ENSEMBLE,
+            prepared, window_s, CHECKOUT, registry_root, artifacts.ENSEMBLE,
             workdir, traced_window=bool(args.trace),
         )
         untraced = result.windows[0]

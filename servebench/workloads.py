@@ -1,7 +1,7 @@
 """The three workloads, from seeded inputs to checked, measured samples.
 
 =================  =====================================================
-``hot_single``     closed loop, 2 connections, single-graph bodies cycling
+``hot_single``     closed loop, 1 connection, single-graph bodies cycling
                    over the 57 suite regions; after an untimed warm-up
                    every request is a cache hit, so wire decode, encode,
                    fingerprint, the batcher hand-off and the journal are
@@ -72,7 +72,7 @@ WORKLOADS: Dict[str, Workload] = {
             "cache hits only: wire decode, encode, fingerprint, batcher hand-off "
             "and journal per request; an engine change must read as no change",
             loop="closed",
-            connections=2,
+            connections=1,
             batch=1,
             replicas=None,
             slo_ms=50.0,
