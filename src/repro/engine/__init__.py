@@ -19,6 +19,15 @@ bit-identical to the per-fold forwards.
 Concurrency contract: nothing in this package holds mutable state between
 calls — no locks are needed anywhere above it, which is why the serving
 layer's ``_forward_lock``s could be deleted.
+
+Threading policy: one BLAS thread per serving process.  The engine's
+GEMMs are too small for a threaded BLAS to speed up, and its idle workers
+spin-wait on the cores the serving threads need.  Parallelism comes from
+running micro-batches side by side (the batcher pool's threads and the
+replica processes), so :func:`repro.engine.blas.pin_single_thread` sets
+every loaded OpenBLAS to one thread when the first serving front-end is
+built.  Results do not change: single- and multi-threaded GEMMs are
+bit-identical.
 """
 
 from .plan import ExecutionPlan, PlanShape, build_plan

@@ -45,6 +45,13 @@ All forward passes run through the stateless inference engine
 per micro-batch, evaluated without locks (inference is reentrant, so
 concurrent micro-batches overlap) and — for ensembles — fanned to every
 fold in a single fold-stacked sweep rather than one forward per member.
+
+Threading policy: each serving process runs its BLAS on one thread.
+Parallelism comes from serving requests side by side — the batcher pool's
+worker threads within a process, replica processes across cores — not
+from splitting one small GEMM.  Building a front-end pins every loaded
+OpenBLAS (:mod:`repro.engine.blas`); ``GET /metrics`` reports the count in
+effect as ``engine.blas_threads``.
 """
 
 from .batcher import BatcherWorkerPool, MicroBatcher, PooledBatcher

@@ -35,7 +35,7 @@ import numpy as np
 from ..concurrency import TrackedLock
 from ..core.hybrid_model import HybridStaticDynamicClassifier
 from ..core.labeling import LabelSpace
-from ..engine import PlanShape, build_plan
+from ..engine import PlanShape, blas, build_plan
 from ..gnn.losses import softmax
 from ..gnn.model import StaticRGCNModel
 from ..graphs.batching import collate
@@ -151,6 +151,11 @@ class ServingFrontend:
     stats: ServingStats
 
     def __init__(self) -> None:
+        # Serving parallelism comes from the batcher pool and the replica
+        # processes; threaded BLAS under them only spin-waits between the
+        # engine's small GEMMs.  Every serving path builds a front-end, and
+        # by now numpy and scipy have loaded their OpenBLAS libraries.
+        blas.pin_single_thread()
         self._batcher_lock = TrackedLock("frontend.batcher")
         self._batcher: Optional[MicroBatcher] = None
         self._auto_start = False
@@ -558,6 +563,8 @@ class ServingFrontend:
         front-end renders it verbatim under ``GET /metrics``.
         """
         snapshot = self.stats.snapshot()
+        blas_threads = blas.thread_counts().values()
+        snapshot["engine"]["blas_threads"] = max(blas_threads, default=None)
         if self.cache is not None:
             snapshot["cache"] = self.cache.stats()
         with self._batcher_lock:

@@ -28,8 +28,9 @@ def aggregate_snapshots(
 
     A multi-model hub reports one stats section per deployment; this sums
     the countable parts across them (requests, hits, batches, engine
-    counters) and recomputes the derived rates from the summed counts, so
-    ``GET /metrics`` can show whole-process totals next to the per-model
+    counters), keeps the largest reported BLAS thread count, and
+    recomputes the derived rates from the summed counts, so ``GET
+    /metrics`` can show whole-process totals next to the per-model
     sections.
 
     Latency percentiles are **not mergeable from snapshots**: a p95 of
@@ -50,6 +51,7 @@ def aggregate_snapshots(
     plans_built = 0
     stacked_forwards = 0
     fanned_folds = 0
+    blas_threads: Optional[int] = None
     for snapshot in snapshots:
         models += 1
         total_requests += int(snapshot.get("total_requests", 0))
@@ -62,6 +64,9 @@ def aggregate_snapshots(
         plans_built += int(engine.get("plans_built", 0))
         stacked_forwards += int(engine.get("stacked_forwards", 0))
         fanned_folds += int(engine.get("fanned_folds", 0))
+        threads = engine.get("blas_threads")
+        if threads is not None:
+            blas_threads = max(int(threads), blas_threads or 0)
     if latency_windows is not None:
         pooled: List[float] = []
         for window in latency_windows:
@@ -98,6 +103,9 @@ def aggregate_snapshots(
             "stacked_forwards": stacked_forwards,
             "fanned_folds": fanned_folds,
             "mean_fold_fanout": fanned_folds / plans_built if plans_built else 0.0,
+            # the largest pool any process reports: one thread everywhere
+            # reads 1, a replica that escaped the pin shows through.
+            "blas_threads": blas_threads,
         },
     }
 
@@ -378,6 +386,7 @@ def render_prometheus(metrics: Dict[str, object]) -> str:
                 labels,
                 "counter",
             )
+            emit("repro_blas_threads", engine.get("blas_threads"), labels)
 
     hub = metrics.get("hub") or {}
     for model, snapshot in sorted((hub.get("models") or {}).items()):

@@ -96,6 +96,14 @@ def test_bench_job_is_scaled_down(workflow):
     assert any("pytest benchmarks" in run for run in runs)
 
 
+def test_bench_job_runs_the_servebench_tests(workflow):
+    """The serving benchmark checks its own correctness gate (reference
+    labels, refused requests); CI must run those tests with the rest of
+    the benchmark smoke."""
+    runs = [s.get("run", "") for s in workflow["jobs"]["bench-smoke"]["steps"]]
+    assert any("pytest servebench/tests" in run for run in runs)
+
+
 def test_lint_job_is_a_correctness_gate(workflow):
     """The lint job must run repro-lint over src/, benchmarks/, and
     examples/ (failing the build on any finding) and archive the JSON

@@ -8,6 +8,11 @@ caches, gradients).  Every assertion here is ``np.array_equal`` — no
 tolerances.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -327,3 +332,129 @@ class TestTrainingPathUnchanged:
         for thread in threads:
             thread.join()
         assert not failures
+
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
+
+#: Reads the thread count of every OpenBLAS mapped into the process without
+#: going through repro.engine.blas, so the pin is checked independently.
+_COUNT_OPENBLAS = """
+import ctypes, os
+
+def openblas_threads():
+    counts = {}
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            fields = line.split(None, 5)
+            if len(fields) < 6 or "openblas" not in os.path.basename(fields[5]):
+                continue
+            library = ctypes.CDLL(fields[5].strip())
+            for name in ("scipy_openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_",
+                         "openblas_get_num_threads"):
+                getter = getattr(library, name, None)
+                if getter is not None:
+                    getter.restype = ctypes.c_int
+                    counts[os.path.basename(fields[5].strip())] = getter()
+                    break
+    return counts
+"""
+
+
+def run_fresh(script):
+    """Run ``script`` in a new interpreter (BLAS thread counts are process
+    state) and return the JSON object it prints last."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC_DIR, TESTS_DIR] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _COUNT_OPENBLAS + textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="OpenBLAS discovery reads /proc"
+)
+class TestBlasThreadPin:
+    def test_front_end_pins_every_openblas_to_one_thread(self):
+        result = run_fresh(
+            """
+            import json
+            from repro.gnn.model import ModelConfig, StaticRGCNModel
+            from repro.graphs import GraphEncoder
+            from repro.serving import PredictionService
+
+            PredictionService(
+                StaticRGCNModel(ModelConfig(vocabulary_size=8, num_classes=2)),
+                GraphEncoder(),
+            )
+            print(json.dumps({"after": openblas_threads()}))
+            """
+        )
+        if not result["after"]:
+            pytest.skip("numpy and scipy are not built on OpenBLAS here")
+        assert set(result["after"].values()) == {1}, result
+
+    def test_pinned_stacked_logits_are_bit_identical(self):
+        result = run_fresh(
+            """
+            import json
+            import numpy as np
+            from repro.engine import StackedFoldModel, blas, build_plan
+            from repro.graphs.batching import collate
+            from test_engine import make_graph, make_models
+
+            rng = np.random.default_rng(11)
+            models = make_models(hidden_dim=48, graph_vector_dim=32)
+            stacked = StackedFoldModel(models)
+            # Large enough that OpenBLAS splits the GEMMs across threads.
+            plans = [
+                build_plan(collate([make_graph(rng, f"g{i}", 200) for i in range(16)])),
+                build_plan(collate([make_graph(rng, "one", 37)])),
+            ]
+            threads = openblas_threads()
+            default = [stacked.infer(plan) for plan in plans]
+            blas.pin_single_thread()
+            pinned = [stacked.infer(plan) for plan in plans]
+            same = all(
+                np.array_equal(a, b)
+                for before, after in zip(default, pinned)
+                for a, b in zip(before, after)
+            )
+            print(json.dumps({
+                "default_threads": threads,
+                "pinned_threads": openblas_threads(),
+                "bit_identical": same,
+            }))
+            """
+        )
+        assert result["bit_identical"], result
+        assert set(result["pinned_threads"].values()) <= {1}, result
+
+    def test_pin_without_openblas_is_a_silent_noop(self):
+        result = run_fresh(
+            """
+            import json, os
+            from repro.engine import blas
+
+            threads = openblas_threads()
+            blas._MAPS_PATH = os.path.join(os.devnull, "missing")
+            blas.pin_single_thread()
+            found = blas.thread_counts()
+            print(json.dumps({
+                "found": found, "before": threads, "after": openblas_threads(),
+            }))
+            """
+        )
+        assert result["found"] == {}
+        # Nothing was touched: every real library keeps its own count.
+        assert result["after"] == result["before"]

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.core import StaticConfigurationPredictor, StaticModelConfig
+from repro.engine import blas
 from repro.graphs import GraphBuilder, GraphEncoder
 from repro.serving import (
     ArtifactRegistry,
@@ -230,6 +231,35 @@ class TestPrometheus:
                 assert line.startswith(("#", "repro_"))
         finally:
             hub.stop()
+
+    def test_blas_thread_count_is_reported(self, registry_root):
+        """The serving threading policy (one BLAS thread per process) is
+        visible in the ``engine`` block of both /metrics formats."""
+        hub = ModelHub(registry_root)
+        try:
+            hub.load(DeploymentSpec(name="m1", artifact="demo"))
+            app = ServingApp(hub)
+            expected = 1 if blas.thread_counts() else None
+            metrics = app.metrics()
+            assert metrics["hub"]["models"]["m1"]["engine"]["blas_threads"] == expected
+            assert metrics["hub"]["aggregate"]["engine"]["blas_threads"] == expected
+            text = render_prometheus(metrics)
+            if expected is not None:
+                assert 'repro_blas_threads{model="m1"} 1' in text
+                assert 'repro_blas_threads{model="_aggregate"} 1' in text
+        finally:
+            hub.stop()
+
+    def test_blas_threads_survive_aggregation(self):
+        """Replica pools merge per-process snapshots; the merged count is
+        the largest any process reports, so one unpinned replica shows."""
+        def engine(threads):
+            return {"engine": {"blas_threads": threads}}
+
+        merged = aggregate_snapshots([engine(1), engine(4), engine(None)])
+        assert merged["engine"]["blas_threads"] == 4
+        assert aggregate_snapshots([engine(1), engine(1)])["engine"]["blas_threads"] == 1
+        assert aggregate_snapshots([engine(None)])["engine"]["blas_threads"] is None
 
     def test_http_route_content_type_and_406(self, registry_root):
         hub = ModelHub(registry_root)

@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.core import StaticConfigurationPredictor, StaticModelConfig
+from repro.engine import blas
 from repro.graphs import GraphBuilder, GraphEncoder
 from repro.serving import (
     ArtifactRegistry,
@@ -256,6 +257,10 @@ class TestPoolServing:
         assert sorted(snapshot["replicas"]) == ["0", "1"]
         per_model = snapshot["models"]["demo"]
         assert per_model["latency"]["merged_from_raw_windows"] is True
+        # Every worker process runs its BLAS on one thread.
+        expected_threads = 1 if blas.thread_counts() else None
+        assert per_model["engine"]["blas_threads"] == expected_threads
+        assert aggregate["engine"]["blas_threads"] == expected_threads
         # The pool itself owns no in-process infrastructure.
         assert snapshot["cache"] is None and snapshot["pool"] is None
 
